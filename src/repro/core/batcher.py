@@ -74,9 +74,10 @@ class RoundBatcher:
         handle's first service (start time, arrival offsets),
         ``charge_restore``/``charge_growth`` do the KV-ledger accounting
         around a member's round, ``on_done`` settles a finished request.
+        ``members`` is a filtered run queue, so it arrives in
+        ``(arrival, seq, replica)`` order — the order members step in.
         """
         clock = lane.clock
-        members = sorted(members, key=lambda h: (h.arrival_s, h.seq, h.replica))
 
         # Finished searches first: finalization is result assembly (plus
         # the single BoN scoring pass), it settles the request, and — for

@@ -56,6 +56,7 @@ the pre-pool fleet byte for byte (pinned by
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -63,7 +64,12 @@ from typing import Sequence
 from repro.core.batcher import RoundBatcher
 from repro.core.config import ServerConfig
 from repro.core.pool import DevicePool, PlacementPolicy, PooledDevice, build_placement
-from repro.core.scheduler import RequestScheduler, SessionHandle, build_scheduler
+from repro.core.scheduler import (
+    RequestScheduler,
+    SessionHandle,
+    _arrival_key,
+    build_scheduler,
+)
 from repro.core.server import TTSServer
 from repro.core.session import SessionState, planned_kv_segments
 from repro.engine.clock import ClockBinding
@@ -223,7 +229,7 @@ class FleetReport:
         return frontier_point(label, self.records, self._correct_by_request())
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _RequestState:
     """Fleet-side lifecycle of one admitted request (and its replicas).
 
@@ -243,14 +249,9 @@ class _RequestState:
     handles: list[SessionHandle]
     device: PooledDevice
     start_s: float | None = None
-    record: FleetRequestRecord | None = None
     claim_lanes: list[PooledDevice] = field(default_factory=list)
     claim_bytes: dict[int, int] = field(default_factory=dict)
     claim_segs: dict[int, tuple] = field(default_factory=dict)
-
-    @property
-    def finished(self) -> bool:
-        return self.record is not None
 
 
 class TTSFleet:
@@ -587,6 +588,14 @@ class TTSFleet:
         placements have not happened yet — and the global rule is the
         conservative reading of Sec. 4.1.2 (a busy fleet sheds
         speculation); it slightly understates multi-device speedups.
+
+        Bookkeeping is linear in the trace: ``states`` holds only live
+        requests (a request retires when its terminal record is written),
+        and each lane keeps a run queue of its runnable handles in
+        arrival-key order. ``pick`` receives the acting lane's queue as
+        is — non-empty, one lane, runnable handles only, no duplicates,
+        strictly ascending ``(arrival, seq, replica)`` — see
+        :meth:`RequestScheduler.pick`.
         """
         order = sorted(
             range(len(self._queue)), key=lambda i: (self._queue[i].arrival_s, i)
@@ -641,26 +650,36 @@ class TTSFleet:
         escalations_ct: dict[int, int] = {}
         escalated_work: dict[int, float] = {}
 
-        def running_requests() -> int:
-            return sum(1 for st in states.values() if not st.finished)
+        # One run queue per lane: the runnable handles of live requests
+        # placed there, in ``_arrival_key`` order (the ``pick`` contract).
+        # ``place`` enqueues; ``unqueue`` prunes handles that stopped
+        # being runnable and retires whole requests.
+        runq: dict[int, list[SessionHandle]] = {lane.index: [] for lane in lanes}
 
-        def lane_runnable(lane: PooledDevice) -> list[SessionHandle]:
-            return [
-                h
-                for st in states.values()
-                if not st.finished
-                for h in st.handles
-                if h.runnable and h.device is lane
-            ]
+        def running_requests() -> int:
+            return len(states)
 
         def acting_lane() -> PooledDevice | None:
             best = None
             for lane in lanes:
-                if not lane_runnable(lane):
-                    continue
-                if best is None or lane.clock.now < best.clock.now:
+                if runq[lane.index] and (
+                    best is None or lane.clock.now < best.clock.now
+                ):
                     best = lane
             return best
+
+        def unqueue(st: _RequestState, retire: bool = False) -> None:
+            """Drop ``st``'s non-runnable handles from their run queues.
+
+            ``retire`` drops every handle and forgets the state: its
+            request is terminal or is being re-placed under a new state.
+            """
+            for h in st.handles:
+                queue = runq[h.device.index]
+                if (retire or not h.runnable) and h in queue:
+                    queue.remove(h)
+            if retire:
+                del states[st.seq]
 
         def release_claims(
             st: _RequestState, only: PooledDevice | None = None
@@ -763,6 +782,8 @@ class TTSFleet:
                     lane.unique_admitted_bytes += billed
             routed_cls.setdefault(seq, device.lane_class)
             states[seq] = st
+            for handle in handles:
+                bisect.insort(runq[handle.device.index], handle, key=_arrival_key)
             return st
 
         def next_lane_recovery() -> float | None:
@@ -824,7 +845,7 @@ class TTSFleet:
             # Either way somebody new showed up: running sessions must stop
             # speculating (round-granular analogue of the arrival offsets).
             for st in states.values():
-                if st.finished or st.seq == seq:
+                if st.seq == seq:
                     continue
                 for h in st.handles:
                     if h.start_s is not None and h.runnable:
@@ -860,14 +881,13 @@ class TTSFleet:
             st = states[handle.seq]
             if st.start_s is None:
                 st.start_s = start
-            # Later arrivals expressed on the session's own clock (t=0
-            # at service start); non-positive offsets mean someone is
-            # already waiting and speculation never starts.
+            # The next arrival expressed on the session's own clock (t=0
+            # at service start); a non-positive offset means someone is
+            # already waiting and speculation never starts. Only the
+            # earliest later arrival matters and ``requests`` is sorted.
+            nxt = handle.seq + 1
             handle.session.set_arrival_offsets(
-                tuple(
-                    req.arrival_s - start
-                    for req in requests[handle.seq + 1:]
-                )
+                (requests[nxt].arrival_s - start,) if nxt < len(requests) else ()
             )
 
         def capture_first_token(handle: SessionHandle) -> None:
@@ -927,7 +947,7 @@ class TTSFleet:
             escalated_work[seq] = escalated_work.get(seq, 0.0) + abandoned
             escalations_ct[seq] = escalations_ct.get(seq, 0) + 1
             release_claims(st)
-            del states[seq]
+            unqueue(st, retire=True)
             place(
                 st.request, seq, targets,
                 now=lane.clock.now, carry_start=st.start_s,
@@ -948,9 +968,11 @@ class TTSFleet:
                     if h.session.state is SessionState.DONE
                 ]
                 if not finished:
+                    unqueue(st)
                     return  # every replica crashed; recovery owns this one
                 winner = min(finished, key=lambda h: h.replica)
             else:
+                unqueue(st)
                 return  # race continues
             if self._router is not None and not self._router.accept(
                 st.request, winner
@@ -1025,10 +1047,10 @@ class TTSFleet:
                 deadline_s=st.request.deadline_s,
                 ttft_slo_s=st.request.ttft_slo_s,
             )
-            st.record = records[st.seq]
             results[st.request.request_id] = result
             finish_times.append(lane.clock.now)
             release_claims(st)
+            unqueue(st, retire=True)
             lane.requests_served += 1
 
         def drop(st: _RequestState) -> None:
@@ -1065,8 +1087,8 @@ class TTSFleet:
                 deadline_s=request.deadline_s,
                 ttft_slo_s=request.ttft_slo_s,
             )
-            st.record = records[st.seq]
             release_claims(st)
+            unqueue(st, retire=True)
 
         def drop_expired(lane: PooledDevice) -> bool:
             """Open-loop shedding sweep: drop expired queued work on ``lane``.
@@ -1078,7 +1100,7 @@ class TTSFleet:
             """
             dropped_any = False
             for st in list(states.values()):
-                if st.finished or st.start_s is not None or st.device is not lane:
+                if st.start_s is not None or st.device is not lane:
                     continue
                 if self._scheduler.drop_expired(
                     st.request, lane.clock.now, self._late_policy
@@ -1140,7 +1162,7 @@ class TTSFleet:
                 h.session.clock.now for h in st.handles
             )
             release_claims(st)
-            del states[seq]
+            unqueue(st, retire=True)
             if self._recovery == "shed":
                 lose_request(
                     seq, request, now,
@@ -1212,8 +1234,6 @@ class TTSFleet:
             if mttr_s is not None:
                 schedule_recovery(time_s + mttr_s, "lane_recover", lane)
             for st in list(states.values()):
-                if st.finished:
-                    continue
                 dead = [h for h in st.handles if h.device is lane]
                 if not dead:
                     continue
@@ -1221,6 +1241,7 @@ class TTSFleet:
                     if h.session.state.live:
                         h.session.cancel()
                 release_claims(st, only=lane)
+                unqueue(st)
                 survivors = [h for h in st.handles if h.device is not lane]
                 if any(h.session.state.live for h in survivors):
                     continue  # the race carries on without the dead replica
@@ -1361,7 +1382,7 @@ class TTSFleet:
                 # has arrived (or already started) joins this iteration's
                 # jointly-costed batch; later arrivals join the next one.
                 members = [
-                    h for h in lane_runnable(act)
+                    h for h in runq[act.index]
                     if h.start_s is not None or h.arrival_s <= clock.now
                 ]
                 if members:
@@ -1380,7 +1401,7 @@ class TTSFleet:
                     current[act.index] = None
                     continue
 
-            handle = self._scheduler.pick(lane_runnable(act), clock.now)
+            handle = self._scheduler.pick(runq[act.index], clock.now)
             session = handle.session
             if handle.start_s is None:
                 service_start(act, handle)

@@ -65,7 +65,7 @@ class GenerationRoundResult:
     stats: RoundStats
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Pending:
     """A waiting standard job (possibly re-queued after preemption)."""
 
@@ -74,9 +74,13 @@ class _Pending:
     progress: int = 0  # tokens decoded before a preemption, if any
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Slot:
-    """One occupied batch slot."""
+    """One occupied batch slot.
+
+    Compared by identity (``eq=False``): ``running.remove(victim)`` must
+    free this slot, never a different one whose fields happen to match.
+    """
 
     segment: int
     remaining: int

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.session import SolveSession
@@ -70,7 +71,7 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class SessionHandle:
     """One schedulable session plus the fleet bookkeeping around it.
 
@@ -87,6 +88,9 @@ class SessionHandle:
     fleet time the session produced its first generated token (None
     until then) — the fleet captures it for the TTFT metric by mapping
     the session's private first-token time through its clock binding.
+
+    Handles compare by identity (``eq=False``), so run-queue membership
+    tests and removals touch exactly this handle.
     """
 
     request_id: str
@@ -224,7 +228,15 @@ class RequestScheduler(ABC):
 
     @abstractmethod
     def pick(self, runnable: Sequence[SessionHandle], now: float) -> SessionHandle:
-        """Choose which runnable session advances by one round."""
+        """Choose which runnable session advances by one round.
+
+        Contract: ``runnable`` is the acting lane's run queue — non-empty,
+        only runnable handles of live requests on that one lane, no
+        duplicates, in strictly ascending :func:`_arrival_key` order. It
+        is the fleet's own list: read it, never mutate it. Policies may
+        rely on that order (fifo takes ``runnable[0]``); key-based picks
+        break ties on ``(seq, replica)``, so they never depend on it.
+        """
 
     def race_decided(
         self, finished: SessionHandle, siblings: Sequence[SessionHandle]
@@ -244,7 +256,7 @@ class FifoScheduler(RequestScheduler):
     description = "arrival order, run-to-completion (the legacy fleet policy)"
 
     def pick(self, runnable: Sequence[SessionHandle], now: float) -> SessionHandle:
-        return min(runnable, key=_arrival_key)
+        return runnable[0]  # the queue is in arrival order
 
 
 class SjfScheduler(RequestScheduler):
@@ -259,10 +271,10 @@ class SjfScheduler(RequestScheduler):
     description = "shortest predicted search first (non-preemptive)"
 
     def pick(self, runnable: Sequence[SessionHandle], now: float) -> SessionHandle:
-        started = [h for h in runnable if h.start_s is not None]
-        if started:
+        started = next((h for h in runnable if h.start_s is not None), None)
+        if started is not None:
             # Non-preemptive: the job on the device keeps it.
-            return min(started, key=_arrival_key)
+            return started
         for handle in runnable:
             if handle.predicted_cost is None:
                 handle.predicted_cost = predict_cost(
@@ -360,8 +372,10 @@ class FirstFinishScheduler(RequestScheduler):
         return [chosen, *others]
 
     def pick(self, runnable: Sequence[SessionHandle], now: float) -> SessionHandle:
-        front = min(runnable, key=_arrival_key)
-        race = [h for h in runnable if h.seq == front.seq]
+        # A request's replicas share one arrival key prefix, so its race
+        # is the queue's contiguous head.
+        front = runnable[0]
+        race = takewhile(lambda h: h.seq == front.seq, runnable)
         return min(race, key=lambda h: (h.last_stepped, h.replica))
 
     def race_decided(
@@ -432,7 +446,7 @@ class PrefixAffinityScheduler(RequestScheduler):
             )
             if registered and anchor is not None:
                 choice = greedy_successor(
-                    sorted(registered, key=_arrival_key),
+                    registered,  # a filtered run queue: arrival order
                     ledger.tree,
                     lambda h: leaves[h.session.session_id],
                     anchor,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.generation_round import ChildStepPlan, GenerationRound
+from repro.core.generation_round import ChildStepPlan, GenerationRound, _Pending, _Slot
 from repro.engine.clock import SimClock
 from repro.engine.jobs import GenJob
 from repro.engine.telemetry import PhaseTimer, UtilizationTracker
@@ -269,6 +269,22 @@ class TestSlotChurn:
     def test_empty_round_has_no_first_token(self):
         result = GenerationRound(make_worker(), slot_budget=4).run([])
         assert result.stats.first_token_time is None
+
+
+class TestIdentityEquality:
+    """Slots and waiting jobs are compared by identity, never by value."""
+
+    def test_removing_a_slot_leaves_its_equal_twin(self):
+        first = _Slot(segment=7, remaining=3, context_len=64)
+        twin = _Slot(segment=7, remaining=3, context_len=64)
+        running = [first, twin]
+        running.remove(twin)
+        assert len(running) == 1 and running[0] is first
+        assert twin not in running
+
+    def test_pending_jobs_compare_by_identity(self):
+        job = make_job(0, 10)
+        assert _Pending(job, 10) != _Pending(job, 10)
 
 
 class TestAdmissionOrderDeterminism:
