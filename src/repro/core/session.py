@@ -305,6 +305,11 @@ class SolveSession:
         self._slot_budget = 0
         self._batch_pre = 0
 
+        # Id memos: segment and lane-node ids are pure functions of their
+        # arguments, so each is hashed once per session.
+        self._prefix_ids: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._lane_ids: dict[tuple[str, str | None, int, bool], int] = {}
+
         # Per-round carry between the GENERATING and VERIFYING states.
         self._plans: dict[tuple[int, ...], StepPlan] = {}
         self._gen_result = None
@@ -438,20 +443,30 @@ class SolveSession:
             tree = cache.tree
             for state in cache.resident_segments():
                 node = tree.get(state.segment_id)
-                node_id = _lane_node_id(
+                node_id = self._lane_id(
                     tag, namespace, state.segment_id, node.parent_id is None
                 )
                 if node.parent_id is None:
                     parent_id = None
                 else:
                     grandparent = tree.get(node.parent_id).parent_id
-                    parent_id = _lane_node_id(
+                    parent_id = self._lane_id(
                         tag, namespace, node.parent_id, grandparent is None
                     )
                 claims.append(
                     KVSegment(node_id, parent_id, state.token_len * bytes_per_token)
                 )
         return tuple(claims)
+
+    def _lane_id(
+        self, model_tag: str, namespace: str | None, segment_id: int, is_root: bool
+    ) -> int:
+        """Memoized :func:`_lane_node_id`."""
+        key = (model_tag, namespace, segment_id, is_root)
+        node_id = self._lane_ids.get(key)
+        if node_id is None:
+            node_id = self._lane_ids[key] = _lane_node_id(*key)
+        return node_id
 
     def planned_segments(self) -> tuple[KVSegment, ...]:
         """The claims this session will register at setup (pre-admission).
@@ -812,9 +827,40 @@ class SolveSession:
             self._server.config, self._rng, self._problem, jobs, round_idx, stage
         )
 
+    def _prefix_segments(self, prefix: tuple[int, ...]) -> tuple[int, ...]:
+        """Memoized prefix-caching segment ids of a path whose lineage is
+        ``prefix``, every step generated: the prompt, then one id per step.
+
+        ``segments(prefix) = segments(prefix[:-1]) + (step id,)``, so a
+        beam's ids are hashed once and shared with its descendants.
+        """
+        segments = self._prefix_ids.get(prefix)
+        if segments is None:
+            if prefix:
+                segments = self._prefix_segments(prefix[:-1]) + (
+                    step_segment_id(self._problem, prefix, len(prefix) - 1),
+                )
+            else:
+                segments = (prompt_segment_id(self._problem),)
+            self._prefix_ids[prefix] = segments
+        return segments
+
+    def _path_segments(
+        self, lineage: tuple[int, ...], steps_done: int
+    ) -> tuple[int, ...]:
+        """:func:`path_segments` for this session, memoized with prefix caching."""
+        cfg = self._server.config
+        if cfg.prefix_caching:
+            return self._prefix_segments(lineage[:steps_done])
+        return path_segments(cfg, self._problem, lineage, steps_done)
+
+    def _step_segment(self, lineage: tuple[int, ...], step_idx: int) -> int:
+        """Memoized :func:`~repro.search.tree.step_segment_id`."""
+        return self._prefix_segments(lineage[: step_idx + 1])[-1]
+
     def _new_segment(self, lineage: tuple[int, ...], step_idx: int) -> int:
         if self._server.config.prefix_caching:
-            return step_segment_id(self._problem, lineage, step_idx)
+            return self._step_segment(lineage, step_idx)
         return stable_hash64(
             "private-segment", self._problem.problem_id, lineage, step_idx
         )
@@ -823,9 +869,7 @@ class SolveSession:
         self, path: ReasoningPath, step: StepPlan, round_idx: int
     ) -> GenJob:
         head = min(self._heads_kept.pop(path.lineage, 0), step.n_tokens)
-        segments = path_segments(
-            self._server.config, self._problem, path.lineage, path.steps_done
-        )
+        segments = self._path_segments(path.lineage, path.steps_done)
         tokens = (self._problem.prompt_tokens, *path.step_tokens)
         return GenJob(
             lineage=path.lineage,
@@ -841,7 +885,7 @@ class SolveSession:
         self, plans: dict[tuple[int, ...], StepPlan], round_idx: int
     ):
         """Closure resolving speculative branches to child step identities."""
-        problem, algorithm = self._problem, self._algorithm
+        algorithm = self._algorithm
         next_cap = algorithm.step_cap(round_idx + 1)
 
         def planner(
@@ -856,8 +900,8 @@ class SolveSession:
             child_step = self._plan_step(child_lineage, round_idx + 1, next_cap)
             return ChildStepPlan(
                 child_lineage=child_lineage,
-                segment_id=step_segment_id(problem, child_lineage, round_idx + 1),
-                parent_leaf_segment=step_segment_id(problem, parent_lineage, round_idx),
+                segment_id=self._step_segment(child_lineage, round_idx + 1),
+                parent_leaf_segment=self._step_segment(parent_lineage, round_idx),
                 n_tokens=child_step.n_tokens,
             )
 
@@ -911,7 +955,7 @@ class SolveSession:
         # path already recorded this round's step: last segment is the new one.
         cfg = self._server.config
         problem, algorithm = self._problem, self._algorithm
-        all_segments = path_segments(cfg, problem, path.lineage, path.steps_done)
+        all_segments = self._path_segments(path.lineage, path.steps_done)
         all_tokens = (problem.prompt_tokens, *path.step_tokens)
         job_kwargs = dict(
             lineage=path.lineage,
@@ -997,12 +1041,11 @@ class SolveSession:
 
     def _final_scoring(self) -> None:
         """Best-of-N outcome scoring: one full-path verification at the end."""
-        cfg = self._server.config
         problem = self._problem
         self._swap_to("verifier")
         vjobs = []
         for path in self._collected:
-            segments = path_segments(cfg, problem, path.lineage, path.steps_done)
+            segments = self._path_segments(path.lineage, path.steps_done)
             tokens = (problem.prompt_tokens, *path.step_tokens)
             vjobs.append(
                 VerifyJob(

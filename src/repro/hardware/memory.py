@@ -434,7 +434,13 @@ class SharedKVLedger(KVLedger):
       swapped out — segments a co-resident session kept alive come back
       for free, which is exactly the replica-racing dedup win;
     * an owner's logical footprint (``resident_of + swapped_of``) is
-      conserved regardless of how much of it is physically shared.
+      conserved regardless of how much of it is physically shared;
+    * ``resident_bytes``, ``logical_resident_bytes`` and ``shared_bytes``
+      are running totals, equal at all times to a scan of the resident
+      segments: every mutation of a segment's owners or residency first
+      subtracts its old contribution (``max`` of its owners' bytes
+      physical, their ``sum`` logical) and then adds its new one, so a
+      growth charge costs what the charge changed, not what is resident.
 
     The byte-level API (:meth:`charge_growth` / :meth:`admit`) still
     works — the footprint is held as a single private root segment until
@@ -449,6 +455,8 @@ class SharedKVLedger(KVLedger):
         self._lane_tree = RadixTree()
         self._segments: dict[int, _SharedSegment] = {}
         self._owner_segs: dict[str, set[int]] = {}
+        self._resident_total = 0
+        self._logical_total = 0
         self._peak_shared = 0
         self._peak_logical = 0
 
@@ -461,7 +469,7 @@ class SharedKVLedger(KVLedger):
 
     @property
     def resident_bytes(self) -> int:
-        return sum(s.num_bytes for s in self._segments.values() if s.resident)
+        return self._resident_total
 
     @property
     def owners(self) -> list[str]:
@@ -471,12 +479,8 @@ class SharedKVLedger(KVLedger):
     def shared_bytes(self) -> int:
         # Bytes saved versus whole-session accounting: every owner's
         # logical claim minus the single physical copy (sized by the
-        # longest claim).
-        return sum(
-            sum(seg.owners.values()) - seg.num_bytes
-            for seg in self._segments.values()
-            if seg.resident and len(seg.owners) > 1
-        )
+        # longest claim). A lone owner's claim is its own copy.
+        return self._logical_total - self._resident_total
 
     @property
     def peak_shared_bytes(self) -> int:
@@ -488,12 +492,7 @@ class SharedKVLedger(KVLedger):
 
     @property
     def logical_resident_bytes(self) -> int:
-        return sum(
-            bytes_
-            for seg in self._segments.values()
-            if seg.resident
-            for bytes_ in seg.owners.values()
-        )
+        return self._logical_total
 
     @property
     def dedup_ratio(self) -> float:
@@ -577,6 +576,13 @@ class SharedKVLedger(KVLedger):
 
     # -- mutation --------------------------------------------------------
 
+    def _account(self, seg: _SharedSegment, sign: int) -> None:
+        """Add (``sign=1``) or take back (``-1``) a segment's share of the
+        running totals; a segment counts only while resident."""
+        if seg.resident and seg.owners:
+            self._resident_total += sign * max(seg.owners.values())
+            self._logical_total += sign * sum(seg.owners.values())
+
     def _ensure_segment(self, claim: KVSegment) -> _SharedSegment:
         self._lane_tree.ensure_node(claim.node_id, claim.parent_id, claim.num_bytes)
         seg = self._segments.get(claim.node_id)
@@ -588,7 +594,9 @@ class SharedKVLedger(KVLedger):
     def _drop_claim(self, owner: str, node_id: int) -> None:
         """Remove one owner's claim; free the segment when orphaned."""
         seg = self._segments[node_id]
+        self._account(seg, -1)
         seg.owners.pop(owner, None)
+        self._account(seg, 1)
         if not seg.owners:
             # Nobody needs it: the bytes are freed, not swapped — there
             # is no PCIe traffic for discarding dead KV. Drop the ledger
@@ -626,6 +634,7 @@ class SharedKVLedger(KVLedger):
             )
             seg = self._segments[victim]
             moved = seg.num_bytes
+            self._account(seg, -1)
             seg.resident = False
             seg.swapped = True
             self.swapped_out_bytes += moved
@@ -634,15 +643,13 @@ class SharedKVLedger(KVLedger):
         return evicted
 
     def _note_peaks(self) -> None:
-        resident = self.resident_bytes
+        resident, logical = self._resident_total, self._logical_total
         if resident > self.peak_resident_bytes:
             self.peak_resident_bytes = resident
-        logical = self.logical_resident_bytes
         if logical > self._peak_logical:
             self._peak_logical = logical
-        shared = self.shared_bytes
-        if shared > self._peak_shared:
-            self._peak_shared = shared
+        if logical - resident > self._peak_shared:
+            self._peak_shared = logical - resident
 
     def charge_growth_segments(
         self, owner: str, segments: Sequence[KVSegment] | Iterable[KVSegment]
@@ -666,20 +673,24 @@ class SharedKVLedger(KVLedger):
         restored = 0
         for claim in claims:
             seg = self._ensure_segment(claim)
-            # The host copy of a swapped segment holds its pre-growth
-            # length; only those bytes cross PCIe — growth beyond them is
-            # decoded on device.
-            host_bytes = seg.num_bytes
-            seg.owners[owner] = claim.num_bytes
-            if not seg.resident:
-                if seg.swapped:
-                    # Previously evicted to host: the grower pays the read.
-                    restored += host_bytes
-                    self.swapped_in_bytes += host_bytes
-                # else: freshly computed on device — no PCIe.
-                seg.resident = True
-                seg.swapped = False
             seg.stamp = self._tick
+            if seg.resident:
+                if seg.owners.get(owner) != claim.num_bytes:
+                    self._account(seg, -1)
+                    seg.owners[owner] = claim.num_bytes
+                    self._account(seg, 1)
+                continue
+            if seg.swapped:
+                # Previously evicted to host: the grower pays the read of
+                # the host copy's pre-growth length — growth beyond it is
+                # decoded on device.
+                restored += seg.num_bytes
+                self.swapped_in_bytes += seg.num_bytes
+            # else: freshly computed on device — no PCIe.
+            seg.owners[owner] = claim.num_bytes
+            seg.resident = True
+            seg.swapped = False
+            self._account(seg, 1)
         evicted = self._evict_segments_for(
             self.resident_bytes - self._capacity, keep=new_ids
         )
@@ -714,6 +725,7 @@ class SharedKVLedger(KVLedger):
         for node in sorted(missing, key=lambda n: self._lane_tree.get(n).depth):
             seg = self._segments[node]
             seg.resident = True
+            self._account(seg, 1)
             if seg.swapped:
                 restored += seg.num_bytes
                 self.swapped_in_bytes += seg.num_bytes
@@ -763,10 +775,15 @@ class SharedKVLedger(KVLedger):
                 f"budget is {self._capacity} B"
             )
         new_ids = {claim.node_id for claim in claims}
-        incoming = sum(
-            max(0, claim.num_bytes - self.resident_segment_bytes(claim.node_id))
-            for claim in claims
-        )
+        # A segment comes back at its longest claim, which may be a
+        # co-owner's host copy: make room for that, not only this claim.
+        incoming = 0
+        for claim in claims:
+            size = claim.num_bytes
+            seg = self._segments.get(claim.node_id)
+            if seg is not None:
+                size = max([size] + [b for o, b in seg.owners.items() if o != owner])
+            incoming += max(0, size - self.resident_segment_bytes(claim.node_id))
         evicted = self._evict_segments_for(
             self.resident_bytes + incoming - self._capacity, keep=new_ids
         )
@@ -777,10 +794,12 @@ class SharedKVLedger(KVLedger):
         self._owner_segs[owner] = new_ids
         for claim in claims:
             seg = self._ensure_segment(claim)
+            self._account(seg, -1)
             seg.owners[owner] = claim.num_bytes
             seg.resident = True
             seg.swapped = False
             seg.stamp = self._tick
+            self._account(seg, 1)
         self._note_peaks()
         return evicted
 

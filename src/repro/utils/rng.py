@@ -31,7 +31,24 @@ def _encode_part(part: _KeyPart) -> bytes:
 
     Each encoding is prefixed with a type tag so that e.g. ``1`` and ``"1"``
     hash differently, and tuples cannot collide with their flattened parts.
+
+    The exact-type tests come first because ``str``, ``int`` and ``tuple``
+    are nearly every key part in practice. They are safe: ``type(x) is int``
+    is false for ``bool`` and every other subclass, so a subclass (``True``,
+    an ``IntEnum`` or ``str``-``Enum`` member) falls through to the
+    ``isinstance`` chain and keeps its encoding. Memoizing this function
+    (``lru_cache``) would not be: ``(1,) == (True,)`` and both hash alike,
+    so a cache would hand one the other's ``i``/``b`` tag.
     """
+    kind = type(part)
+    if kind is str:
+        raw = part.encode("utf-8")
+        return b"s" + len(raw).to_bytes(4, "little") + raw
+    if kind is int:
+        return b"i" + part.to_bytes(16, "little", signed=True)
+    if kind is tuple:
+        inner = b"".join([_encode_part(p) for p in part])
+        return b"t" + len(part).to_bytes(4, "little") + inner
     if isinstance(part, bool):  # must precede int: bool is a subclass of int
         return b"b" + (b"1" if part else b"0")
     if isinstance(part, int):
@@ -56,7 +73,7 @@ def stable_hash64(*parts: _KeyPart) -> int:
     ``PYTHONHASHSEED``, the process, or the platform.
     """
     digest = hashlib.blake2b(
-        b"".join(_encode_part(p) for p in parts), digest_size=8
+        b"".join([_encode_part(p) for p in parts]), digest_size=8
     ).digest()
     return int.from_bytes(digest, "little")
 
@@ -74,7 +91,7 @@ class KeyedRng:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        if not isinstance(seed, int):
+        if not isinstance(seed, int) or isinstance(seed, bool):
             raise TypeError("seed must be an int")
         self._seed = seed
 

@@ -1,7 +1,8 @@
 """Property-based invariants for the runtime KV ledgers.
 
 After *any* sequence of ``charge_growth`` / ``restore`` / ``admit`` /
-``release`` (plus segment-granular growth on the shared ledger):
+``release`` / ``resize`` (plus segment-granular growth and admission on
+the shared ledger):
 
 * device residency never exceeds capacity (every single claim fits by
   construction, as fleet admission control guarantees);
@@ -9,7 +10,10 @@ After *any* sequence of ``charge_growth`` / ``restore`` / ``admit`` /
   its last reported footprint, no bytes silently vanish;
 * on the shared ledger, reported ``resident_bytes`` equals the sum of
   unique resident segment bytes and never exceeds the whole-session sum
-  (sharing can only save, never inflate).
+  (sharing can only save, never inflate);
+* after *every* op, the shared ledger's running ``resident_bytes``,
+  ``logical_resident_bytes`` and ``shared_bytes`` equal a from-scratch
+  scan of its segments.
 """
 
 import hypothesis.strategies as st
@@ -25,17 +29,23 @@ OWNERS = ("a", "b", "c")
 # One op: (kind, owner index, payload). Byte payloads stay within the
 # capacity — a single session's plan always fits the device (admission
 # control) — and segment chains sum to at most 3 * 30 = 90 bytes.
+chain_sizes = st.lists(st.integers(1, 30), min_size=1, max_size=3)
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("grow"), st.integers(0, 2), st.integers(0, CAPACITY)),
         st.tuples(st.just("restore"), st.integers(0, 2), st.none()),
         st.tuples(st.just("admit"), st.integers(0, 2), st.integers(0, CAPACITY)),
         st.tuples(st.just("release"), st.integers(0, 2), st.none()),
+        st.tuples(st.just("grow_segs"), st.integers(0, 2), chain_sizes),
+        # Every owner's chain is the same lineage (7 -> 101 -> 102), each
+        # with its own lengths: non-root segments whose owners disagree.
+        st.tuples(st.just("grow_common"), st.integers(0, 2), chain_sizes),
         st.tuples(
-            st.just("grow_segs"),
-            st.integers(0, 2),
-            st.lists(st.integers(1, 30), min_size=1, max_size=3),
+            st.just("admit_segs"), st.integers(0, 2),
+            st.tuples(chain_sizes, st.booleans()),
         ),
+        # A pressure spike: shrink the budget to the payload, then back.
+        st.tuples(st.just("resize"), st.integers(0, 2), st.integers(1, CAPACITY)),
     ),
     min_size=1,
     max_size=30,
@@ -56,8 +66,48 @@ def lineage_claims(owner_idx, sizes, shared_root):
     return claims
 
 
-def apply_ops(ledger, op_list, shared_root=False):
-    """Drive the ledger; returns each owner's expected logical footprint."""
+def common_claims(sizes):
+    """A chain every owner shares node for node: the prompt analogue (7)
+    and then the same step nodes, with the caller's own lengths."""
+    claims, parent = [], None
+    for depth, size in enumerate(sizes):
+        node = 7 if depth == 0 else 100 + depth
+        claims.append(KVSegment(node, parent, size))
+        parent = node
+    return claims
+
+
+def scan_totals(ledger):
+    """``(resident, logical, shared)`` bytes recomputed from the segments."""
+    resident = logical = shared = 0
+    for seg in ledger._segments.values():
+        if seg.resident:
+            owned = list(seg.owners.values())
+            resident += max(owned, default=0)
+            logical += sum(owned)
+            if len(owned) > 1:
+                shared += sum(owned) - max(owned)
+    return resident, logical, shared
+
+
+def check_totals(ledger):
+    """The running totals agree with a scan, and never pass their peaks."""
+    if isinstance(ledger, SharedKVLedger):
+        assert (
+            ledger.resident_bytes,
+            ledger.logical_resident_bytes,
+            ledger.shared_bytes,
+        ) == scan_totals(ledger)
+    assert ledger.resident_bytes <= ledger.peak_resident_bytes
+    assert ledger.logical_resident_bytes <= ledger.peak_logical_bytes
+    assert ledger.shared_bytes <= ledger.peak_shared_bytes
+
+
+def apply_ops(ledger, op_list, shared_root=False, check=None):
+    """Drive the ledger; returns each owner's expected logical footprint.
+
+    ``check(ledger)``, when given, runs after every ledger call.
+    """
     expected = {}
     for kind, owner_idx, payload in op_list:
         owner = OWNERS[owner_idx]
@@ -72,14 +122,34 @@ def apply_ops(ledger, op_list, shared_root=False):
         elif kind == "release":
             ledger.release(owner)
             expected.pop(owner, None)
-        elif kind == "grow_segs":
+        elif kind in ("grow_segs", "grow_common"):
             if not isinstance(ledger, SharedKVLedger):
                 ledger.charge_growth(owner, sum(payload))
+            elif kind == "grow_common":
+                ledger.charge_growth_segments(owner, common_claims(payload))
             else:
                 ledger.charge_growth_segments(
                     owner, lineage_claims(owner_idx, payload, shared_root)
                 )
             expected[owner] = sum(payload)
+        elif kind == "admit_segs":
+            sizes, common = payload
+            if not isinstance(ledger, SharedKVLedger):
+                ledger.admit(owner, sum(sizes))
+            elif common:
+                ledger.admit_segments(owner, common_claims(sizes))
+            else:
+                ledger.admit_segments(
+                    owner, lineage_claims(owner_idx, sizes, shared_root)
+                )
+            expected[owner] = sum(sizes)
+        elif kind == "resize":
+            ledger.resize(payload)
+            if check is not None:
+                check(ledger)
+            ledger.resize(CAPACITY)
+        if check is not None:
+            check(ledger)
     return expected
 
 
@@ -104,7 +174,7 @@ class TestKVLedgerInvariants:
     @settings(max_examples=200, deadline=None)
     def test_conservation_and_capacity(self, op_list):
         ledger = KVLedger(CAPACITY)
-        expected = apply_ops(ledger, op_list)
+        expected = apply_ops(ledger, op_list, check=check_totals)
         check_invariants(ledger, expected)
         assert ledger.logical_resident_bytes == ledger.resident_bytes
         assert ledger.dedup_ratio == 1.0
@@ -115,7 +185,9 @@ class TestSharedKVLedgerInvariants:
     @settings(max_examples=200, deadline=None)
     def test_conservation_capacity_and_unique_bytes(self, op_list, shared_root):
         ledger = SharedKVLedger(CAPACITY)
-        expected = apply_ops(ledger, op_list, shared_root=shared_root)
+        expected = apply_ops(
+            ledger, op_list, shared_root=shared_root, check=check_totals
+        )
         check_invariants(ledger, expected)
         # resident_bytes is exactly the unique resident segment bytes...
         unique = sum(
@@ -133,9 +205,10 @@ class TestSharedKVLedgerInvariants:
     @settings(max_examples=100, deadline=None)
     def test_restore_after_any_history_makes_owner_resident(self, op_list):
         ledger = SharedKVLedger(CAPACITY)
-        expected = apply_ops(ledger, op_list, shared_root=True)
+        expected = apply_ops(ledger, op_list, shared_root=True, check=check_totals)
         for owner in expected:
             ledger.restore(owner)
+            check_totals(ledger)
             assert ledger.swapped_of(owner) == 0
             assert ledger.resident_of(owner) == expected[owner]
 
@@ -247,6 +320,18 @@ class TestDeltaMigrationConservation:
         } == owners_before
         # The source still holds every byte: nothing leaked in transit.
         assert source.resident_of("mig") == sum(c.num_bytes for c in claims)
+
+    def test_admit_onto_swapped_segment_makes_room_for_its_longest_claim(self):
+        """A segment swapped out under a co-owner's longer claim comes
+        back at that length, so admission evicts for it, not only for the
+        incoming claim's bytes (it used to overshoot the budget)."""
+        destination = SharedKVLedger(CAPACITY)
+        destination.charge_growth_segments("peer", [KVSegment(7, None, 24)])
+        destination.charge_growth("other", 77)  # swaps the peer's root out
+        assert destination.resident_segment_bytes(7) == 0
+        destination.admit_segments("mig", [KVSegment(7, None, 1)])
+        assert destination.resident_segment_bytes(7) == 24
+        assert destination.resident_bytes <= CAPACITY
 
     def test_whole_footprint_capacity_check_raises_before_any_mutation(self):
         destination = SharedKVLedger(CAPACITY)

@@ -1,5 +1,7 @@
 """Tests for the keyed RNG streams — the schedule-invariance foundation."""
 
+import enum
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -58,6 +60,77 @@ class TestStableHash:
                 assert stable_hash64(a) != stable_hash64(b)
 
 
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Mode(str, enum.Enum):
+    FAST = "fast"
+
+
+class TestKnownAnswers:
+    """Literal ``stable_hash64`` values: the encoding is pinned bit for bit.
+
+    Every stream, segment id and lane-tree node id derives from these
+    hashes, so any change to ``_encode_part`` that alters one byte shows
+    up here before it shows up as a golden diff.
+    """
+
+    @pytest.mark.parametrize(
+        "parts, expected",
+        [
+            ((0,), 13379413122819086221),
+            ((1,), 2632205999180479934),
+            ((-5,), 10038540427407271855),
+            ((2**100,), 9779777206118983677),
+            ((-(2**100),), 3950417202828662970),
+            (("segment",), 13336556272354270643),
+            (("",), 6077324852010204411),
+            (("héllo",), 16243657649293798511),
+            ((1.5,), 2360676658618195140),
+            ((0.0,), 13079953250601521484),
+            ((-0.0,), 7078274196909867524),
+            ((b"ab",), 7999464954132853539),
+            ((b"",), 3216400274392579565),
+            ((True,), 15779520396620607129),
+            ((False,), 1695539116833864595),
+            (((),), 17575196894853103366),
+            ((((1,), (2, "a")),), 11513814035703597135),
+            (((1,),), 8479051287743791904),
+            (((True,),), 8040336517273310778),
+            (("segment", "p-3", (0, 1, 2), 2), 2164775944554260499),
+        ],
+    )
+    def test_literal_values(self, parts, expected):
+        assert stable_hash64(*parts) == expected
+
+    def test_bool_is_not_int(self):
+        assert stable_hash64(True) != stable_hash64(1)
+        assert stable_hash64((True,)) != stable_hash64((1,))
+
+    def test_negative_zero_is_its_own_key(self):
+        assert stable_hash64(-0.0) != stable_hash64(0.0)
+
+    def test_int_enum_member_encodes_as_its_int(self):
+        # Subclasses take the isinstance fallback, not the exact-type path.
+        assert stable_hash64(_Colour.RED) == 2632205999180479934
+        assert stable_hash64(_Colour.RED) == stable_hash64(1)
+
+    def test_str_enum_member_encodes_as_its_str(self):
+        assert stable_hash64(_Mode.FAST) == 7265197414259184957
+        assert stable_hash64(_Mode.FAST) == stable_hash64("fast")
+
+    def test_numpy_int_is_rejected(self):
+        with pytest.raises(TypeError):
+            stable_hash64(np.int64(1))
+
+    def test_first_draws(self):
+        rng = KeyedRng(7)
+        assert rng.uniform("kat", 3) == 0.6044039980480707
+        assert rng.normal("kat", 3) == -0.9278909887002297
+        assert rng.randint("kat", 3, low=0, high=1000) == 188
+
+
 class TestKeyedRng:
     def test_same_key_same_draw(self):
         rng = KeyedRng(7)
@@ -81,6 +154,12 @@ class TestKeyedRng:
     def test_seed_must_be_int(self):
         with pytest.raises(TypeError):
             KeyedRng("seed")  # type: ignore[arg-type]
+        # bool is an int subclass, but True would silently draw a stream
+        # different from KeyedRng(1)'s.
+        with pytest.raises(TypeError):
+            KeyedRng(True)
+        with pytest.raises(TypeError):
+            KeyedRng(False)
 
     def test_normal_location(self):
         rng = KeyedRng(3)
