@@ -75,7 +75,6 @@ from repro.faults import fault_descriptions, parse_fault_spec
 from repro.metrics.fleet import compare_policies
 from repro.routing import (
     build_router,
-    list_routers,
     parse_lane_list,
     router_descriptions,
 )
@@ -180,8 +179,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_device_list(spec: str | None) -> tuple[list[str] | None, str | None]:
-    """Parse/validate ``--devices``; returns ``(names, error)``.
+def _parse_device_list(spec: str | None) -> list[str] | None:
+    """Parse/validate ``--devices`` (raises ConfigError).
 
     ``None`` spec means the flag was not given — the single ``--device``
     default applies. An empty list, blank entries, or unknown device names
@@ -193,46 +192,110 @@ def _parse_device_list(spec: str | None) -> tuple[list[str] | None, str | None]:
     ``dev1:rtx4090``) so ids never collide.
     """
     if spec is None:
-        return None, None
+        return None
     names = [name.strip() for name in spec.split(",")]
     if not any(names):
-        return None, "--devices must name at least one device"
+        raise ConfigError("--devices must name at least one device")
     if any(not name for name in names):
-        return None, f"--devices has an empty entry in {spec!r}"
+        raise ConfigError(f"--devices has an empty entry in {spec!r}")
     known = list_devices()
     for name in names:
         if name not in known:
-            return None, (
+            raise ConfigError(
                 f"--devices: unknown device {name!r}"
                 f"{did_you_mean(name, known)}; known: {', '.join(known)}"
             )
-    return names, None
+    return names
 
 
 def _parse_hetero_flags(args: argparse.Namespace):
-    """Validate ``--lane``/``--router``; returns ``(lanes, error)``.
+    """Validate ``--lane``/``--router``; returns the lane specs or None.
 
     ``--lane`` and ``--devices`` are mutually exclusive (a lane spec
     already names its device); lane grammar and router names follow the
-    exit-2 convention with nearest-name suggestions.
+    exit-2 convention with nearest-name suggestions (raises ConfigError).
     """
     lanes = None
     if args.lane is not None:
         if args.devices is not None:
-            return None, (
+            raise ConfigError(
                 "--lane and --devices are mutually exclusive; "
                 "a lane spec already names its device"
             )
         try:
             lanes = parse_lane_list(args.lane)
         except ConfigError as exc:
-            return None, f"--lane: {exc}"
+            raise ConfigError(f"--lane: {exc}") from exc
     if args.router != "off":
         try:
             build_router(args.router)
         except ConfigError as exc:
-            return None, f"--router: {exc}"
-    return lanes, None
+            raise ConfigError(f"--router: {exc}") from exc
+    return lanes
+
+
+def _serve_setup(args: argparse.Namespace, seed: int):
+    """Validate the shared serve flags (raises ConfigError).
+
+    Returns ``(config, options)``: the server config for the first lane
+    (or ``--devices`` entry, or ``--device``) and the :class:`TTSFleet`
+    keyword arguments every serving subcommand passes; each subcommand
+    adds its own ``scheduler`` (and ``trace`` its ``late_policy``).
+    """
+    if args.max_in_flight is not None and args.max_in_flight < 1:
+        raise ConfigError(
+            f"--max-in-flight must be >= 1, got {args.max_in_flight}"
+        )
+    device_names = _parse_device_list(args.devices)
+    lanes = _parse_hetero_flags(args)
+    try:
+        parse_fault_spec(args.faults)
+    except ConfigError as exc:
+        raise ConfigError(f"--faults: {exc}") from exc
+    factory = fasttts_config if args.system == "fasttts" else baseline_config
+    config = factory(
+        device_name=(lanes[0].device_name if lanes
+                     else device_names[0] if device_names else args.device),
+        model_config=(lanes[0].model_config if lanes else args.config),
+        memory_fraction=args.memory_fraction,
+        seed=seed,
+    )
+    return config, dict(
+        max_in_flight=args.max_in_flight,
+        devices=device_names,
+        lanes=lanes,
+        router=args.router,
+        placement=args.placement,
+        oversubscription=args.oversubscription,
+        kv_sharing=args.kv_sharing,
+        batching=args.batching,
+        faults=args.faults,
+        recovery=args.recovery,
+        retry_budget=args.retry_budget,
+    )
+
+
+def _served_label(args: argparse.Namespace, options: dict) -> str:
+    if options["lanes"]:
+        return "lanes " + ",".join(spec.label for spec in options["lanes"])
+    device_label = (
+        ",".join(options["devices"]) if options["devices"] else args.device
+    )
+    return f"{args.config} on {device_label}"
+
+
+def _multi_device(options: dict) -> bool:
+    return len(options["lanes"] or options["devices"] or ()) > 1
+
+
+def _print_unserved(report) -> None:
+    for record in report.records:
+        if record.dropped:
+            print(f"dropped {record.request_id}: {record.reject_reason}")
+        elif record.lost:
+            print(f"lost {record.request_id}: {record.reject_reason}")
+        elif not record.accepted:
+            print(f"rejected {record.request_id}: {record.reject_reason}")
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -245,33 +308,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.rate <= 0:
         print(f"error: --rate must be > 0, got {args.rate}", file=sys.stderr)
         return 2
-    if args.max_in_flight is not None and args.max_in_flight < 1:
-        print(
-            f"error: --max-in-flight must be >= 1, got {args.max_in_flight}",
-            file=sys.stderr,
-        )
-        return 2
-    device_names, device_error = _parse_device_list(args.devices)
-    if device_error is not None:
-        print(f"error: {device_error}", file=sys.stderr)
-        return 2
-    lanes, hetero_error = _parse_hetero_flags(args)
-    if hetero_error is not None:
-        print(f"error: {hetero_error}", file=sys.stderr)
-        return 2
     try:
-        parse_fault_spec(args.faults)
+        config, options = _serve_setup(args, args.seed)
     except ConfigError as exc:
-        print(f"error: --faults: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    factory = fasttts_config if args.system == "fasttts" else baseline_config
-    config = factory(
-        device_name=(lanes[0].device_name if lanes
-                     else device_names[0] if device_names else args.device),
-        model_config=(lanes[0].model_config if lanes else args.config),
-        memory_fraction=args.memory_fraction,
-        seed=args.seed,
-    )
     arrivals = generate_arrivals(
         args.requests, args.rate, seed=args.seed, distribution=args.arrivals
     )
@@ -281,29 +322,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     reports = {}
     for policy in policies:
-        fleet = TTSFleet(
-            config, dataset, max_in_flight=args.max_in_flight, scheduler=policy,
-            devices=device_names, placement=args.placement,
-            oversubscription=args.oversubscription,
-            kv_sharing=args.kv_sharing,
-            batching=args.batching,
-            faults=args.faults,
-            recovery=args.recovery,
-            retry_budget=args.retry_budget,
-            lanes=lanes,
-            router=args.router,
-        )
+        fleet = TTSFleet(config, dataset, scheduler=policy, **options)
         fleet.submit_stream(list(dataset), algorithm, arrivals)
         reports[policy] = fleet.drain()
 
-    if lanes:
-        device_label = ",".join(spec.label for spec in lanes)
-        served = f"lanes {device_label}"
-    else:
-        device_label = ",".join(device_names) if device_names else args.device
-        served = f"{args.config} on {device_label}"
     workload = (f"{args.requests} requests @ {args.rate}/s ({args.arrivals}) "
-                f"| {args.system} {served} "
+                f"| {args.system} {_served_label(args, options)} "
                 f"| {args.algorithm} n={args.n}")
     if args.router != "off":
         workload += f" | router {args.router}"
@@ -313,10 +337,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         workload += f" | batching {args.batching}"
     if args.faults != "off":
         workload += f" | faults {args.faults} | recovery {args.recovery}"
-    multi_device = (
-        (device_names is not None and len(device_names) > 1)
-        or (lanes is not None and len(lanes) > 1)
-    )
+    multi_device = _multi_device(options)
     if multi_device:
         workload += f" | placement {args.placement}"
     if len(reports) == 1:
@@ -331,11 +352,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 for cls, count in report.router_decisions().items()
             )
             print(f"router decisions: {decisions or 'none'}")
-        for record in report.records:
-            if record.lost:
-                print(f"lost {record.request_id}: {record.reject_reason}")
-            elif not record.accepted:
-                print(f"rejected {record.request_id}: {record.reject_reason}")
+        _print_unserved(report)
     else:
         print(compare_policies(
             {policy: report.metrics for policy, report in reports.items()},
@@ -381,105 +398,50 @@ def _print_trace_summary(trace: Trace) -> None:
 
 def _serve_trace(trace: Trace, args: argparse.Namespace) -> int:
     """Replay ``trace`` through the open-loop fleet and print SLO tables."""
-    if args.max_in_flight is not None and args.max_in_flight < 1:
-        print(
-            f"error: --max-in-flight must be >= 1, got {args.max_in_flight}",
-            file=sys.stderr,
-        )
-        return 2
-    device_names, device_error = _parse_device_list(args.devices)
-    if device_error is not None:
-        print(f"error: {device_error}", file=sys.stderr)
-        return 2
-    lanes, hetero_error = _parse_hetero_flags(args)
-    if hetero_error is not None:
-        print(f"error: {hetero_error}", file=sys.stderr)
-        return 2
     try:
-        parse_fault_spec(args.faults)
+        config, options = _serve_setup(args, trace.seed)
     except ConfigError as exc:
-        print(f"error: --faults: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    factory = fasttts_config if args.system == "fasttts" else baseline_config
-    config = factory(
-        device_name=(lanes[0].device_name if lanes
-                     else device_names[0] if device_names else args.device),
-        model_config=(lanes[0].model_config if lanes else args.config),
-        memory_fraction=args.memory_fraction,
-        seed=trace.seed,
-    )
     report = run_trace(
         trace, config,
-        scheduler=args.scheduler,
-        placement=args.placement,
-        devices=device_names,
-        oversubscription=args.oversubscription,
-        kv_sharing=args.kv_sharing,
-        batching=args.batching,
-        late_policy=args.late_policy,
-        max_in_flight=args.max_in_flight,
-        faults=args.faults,
-        recovery=args.recovery,
-        retry_budget=args.retry_budget,
-        lanes=lanes,
-        router=args.router,
+        scheduler=args.scheduler, late_policy=args.late_policy, **options,
     )
-    if lanes:
-        served = "lanes " + ",".join(spec.label for spec in lanes)
-    else:
-        device_label = ",".join(device_names) if device_names else args.device
-        served = f"{args.config} on {device_label}"
     workload = (f"{len(trace.requests)} requests / {len(trace.tenants)} tenants "
-                f"over {trace.horizon_s:.0f}s | {args.system} {served} "
+                f"over {trace.horizon_s:.0f}s "
+                f"| {args.system} {_served_label(args, options)} "
                 f"| late-policy {args.late_policy}")
     if args.router != "off":
         workload += f" | router {args.router}"
     if args.faults != "off":
         workload += f" | faults {args.faults} | recovery {args.recovery}"
     print(report.table(title=f"trace [{args.scheduler}]: {workload}"))
-    if (device_names is not None and len(device_names) > 1) or (
-        lanes is not None and len(lanes) > 1
-    ):
+    if _multi_device(options):
         print(report.device_table(title="per-device utilization"))
     if args.router != "off":
         print(report.lane_class_table(title="per-lane-class rollup"))
     print(report.tenant_table(title="per-tenant SLOs"))
     print(report.slo_summary().table(title="fleet SLO summary"))
-    for record in report.records:
-        if record.dropped:
-            print(f"dropped {record.request_id}: {record.reject_reason}")
-        elif record.lost:
-            print(f"lost {record.request_id}: {record.reject_reason}")
-        elif not record.accepted:
-            print(f"rejected {record.request_id}: {record.reject_reason}")
+    _print_unserved(report)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    try:
+        trace = (
+            Trace.load(args.trace) if args.trace_command == "replay"
+            else _trace_from_args(args)
+        )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.trace_command == "generate":
-        try:
-            trace = _trace_from_args(args)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         trace.save(args.out)
         _print_trace_summary(trace)
         print(f"wrote {args.out}")
         return 0
-    if args.trace_command == "replay":
-        try:
-            trace = Trace.load(args.trace)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return _serve_trace(trace, args)
-    # run: generate + serve in one step
-    try:
-        trace = _trace_from_args(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.out is not None:
+    # run (generate + serve in one step) or replay
+    if args.trace_command == "run" and args.out is not None:
         trace.save(args.out)
         print(f"wrote {args.out}")
     return _serve_trace(trace, args)
@@ -542,6 +504,68 @@ def _cmd_straggler(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_serve_flags(p: argparse.ArgumentParser) -> None:
+    """The serving-policy flags ``fleet``, ``trace run`` and ``trace replay`` share."""
+    p.add_argument("--config", default="1.5B+1.5B")
+    p.add_argument("--device", default="rtx4090", choices=list_devices())
+    p.add_argument("--system", choices=("baseline", "fasttts"),
+                   default="fasttts")
+    p.add_argument("--max-in-flight", type=int, default=None,
+                   help="admission-control cap on queued+running requests")
+    p.add_argument("--devices", default=None, metavar="NAME[,NAME...]",
+                   help="comma-separated device pool (overrides --device), "
+                        "e.g. rtx4090,rtx4070ti; duplicates are legal "
+                        "(lane ids are index-suffixed)")
+    router_help = "; ".join(
+        f"{name}: {desc}" for name, desc in router_descriptions().items()
+    )
+    p.add_argument("--lane", default=None, metavar="SPEC[,SPEC...]",
+                   help="comma-separated heterogeneous lane specs "
+                        "MODEL@DEVICE[:DTYPE][:mem=FRACTION], e.g. "
+                        "7B+1.5B@rtx4090,1.5B+1.5B@rtx4090:int8 "
+                        "(mutually exclusive with --devices)")
+    p.add_argument("--router", default="off", metavar="NAME",
+                   help="difficulty-aware model router across lane "
+                        "classes ('off' keeps the routerless path, "
+                        f"byte-identical to the goldens). {router_help}")
+    p.add_argument("--placement", choices=list_placements(),
+                   default="first_fit",
+                   help="how new requests spread across the device pool")
+    p.add_argument("--oversubscription", choices=("swap", "deny"),
+                   default="swap",
+                   help="KV contention policy: charge eviction/restore "
+                        "PCIe time (swap) or refuse admission (deny)")
+    p.add_argument("--kv-sharing", choices=("off", "prefix"),
+                   default="off", dest="kv_sharing",
+                   help="dedup KV prefix segments shared by co-resident "
+                        "sessions in each lane's ledger (off = "
+                        "whole-session accounting)")
+    p.add_argument("--batching", choices=("off", "continuous"),
+                   default="off",
+                   help="coalesce co-resident sessions' rounds into one "
+                        "jointly-costed batch per lane iteration (off = "
+                        "one session's round at a time)")
+    fault_help = "; ".join(
+        f"{name}: {desc}" for name, desc in fault_descriptions().items()
+    )
+    p.add_argument("--faults", default="off", metavar="SPEC",
+                   help="fault-injection spec 'kind:key=value,...' "
+                        "(';'-separated clauses; 'off' disables). "
+                        "Each clause fires once (at=) or as a Poisson "
+                        f"process (rate=). Kinds — {fault_help}")
+    p.add_argument("--recovery", choices=("failover", "retry", "shed"),
+                   default="failover",
+                   help="what a lane crash does to its in-flight "
+                        "requests: re-place on a healthy lane "
+                        "(failover), re-queue with exponential backoff "
+                        "(retry), or fail fast (shed)")
+    p.add_argument("--retry-budget", type=int, default=3,
+                   dest="retry_budget",
+                   help="max re-queues per request under --recovery "
+                        "retry before it is declared lost")
+    p.add_argument("--memory-fraction", type=float, default=0.4)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -589,8 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet", help="serve a multi-request stream and report fleet metrics"
     )
     fleet.add_argument("--dataset", default="amc23", choices=list_datasets())
-    fleet.add_argument("--config", default="1.5B+1.5B")
-    fleet.add_argument("--device", default="rtx4090", choices=list_devices())
     fleet.add_argument("--algorithm", default="beam_search",
                        choices=list_algorithms())
     fleet.add_argument("-n", type=int, default=8)
@@ -599,67 +621,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arrival rate in requests per simulated second")
     fleet.add_argument("--arrivals", choices=("poisson", "uniform"),
                        default="poisson")
-    fleet.add_argument("--system", choices=("baseline", "fasttts"),
-                       default="fasttts")
     fleet.add_argument("--scheduler",
                        choices=(*list_schedulers(), "all"), default="fifo",
                        help="request-scheduling policy, or 'all' to compare "
                             "every registered policy on the same workload")
-    fleet.add_argument("--max-in-flight", type=int, default=None,
-                       help="admission-control cap on queued+running requests")
-    fleet.add_argument("--devices", default=None, metavar="NAME[,NAME...]",
-                       help="comma-separated device pool (overrides --device), "
-                            "e.g. rtx4090,rtx4070ti; duplicates are legal "
-                            "(lane ids are index-suffixed)")
-    router_help = "; ".join(
-        f"{name}: {desc}" for name, desc in router_descriptions().items()
-    )
-    fleet.add_argument("--lane", default=None, metavar="SPEC[,SPEC...]",
-                       help="comma-separated heterogeneous lane specs "
-                            "MODEL@DEVICE[:DTYPE][:mem=FRACTION], e.g. "
-                            "7B+1.5B@rtx4090,1.5B+1.5B@rtx4090:int8 "
-                            "(mutually exclusive with --devices)")
-    fleet.add_argument("--router", default="off", metavar="NAME",
-                       help="difficulty-aware model router across lane "
-                            "classes ('off' keeps the routerless path, "
-                            f"byte-identical to the goldens). {router_help}")
-    fleet.add_argument("--placement", choices=list_placements(),
-                       default="first_fit",
-                       help="how new requests spread across the device pool")
-    fleet.add_argument("--oversubscription", choices=("swap", "deny"),
-                       default="swap",
-                       help="KV contention policy: charge eviction/restore "
-                            "PCIe time (swap) or refuse admission (deny)")
-    fleet.add_argument("--kv-sharing", choices=("off", "prefix"),
-                       default="off", dest="kv_sharing",
-                       help="dedup KV prefix segments shared by co-resident "
-                            "sessions in each lane's ledger (off = "
-                            "whole-session accounting)")
-    fleet.add_argument("--batching", choices=("off", "continuous"),
-                       default="off",
-                       help="coalesce co-resident sessions' rounds into one "
-                            "jointly-costed batch per lane iteration (off = "
-                            "one session's round at a time)")
-    fault_help = "; ".join(
-        f"{name}: {desc}" for name, desc in fault_descriptions().items()
-    )
-    fleet.add_argument("--faults", default="off", metavar="SPEC",
-                       help="fault-injection spec 'kind:key=value,...' "
-                            "(';'-separated clauses; 'off' disables). "
-                            "Each clause fires once (at=) or as a Poisson "
-                            f"process (rate=). Kinds — {fault_help}")
-    fleet.add_argument("--recovery", choices=("failover", "retry", "shed"),
-                       default="failover",
-                       help="what a lane crash does to its in-flight "
-                            "requests: re-place on a healthy lane "
-                            "(failover), re-queue with exponential backoff "
-                            "(retry), or fail fast (shed)")
-    fleet.add_argument("--retry-budget", type=int, default=3,
-                       dest="retry_budget",
-                       help="max re-queues per request under --recovery "
-                            "retry before it is declared lost")
-    fleet.add_argument("--memory-fraction", type=float, default=0.4)
     fleet.add_argument("--seed", type=int, default=0)
+    _add_serve_flags(fleet)
 
     trace = sub.add_parser(
         "trace", help="open-loop trace-driven serving with SLO metrics"
@@ -684,51 +651,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "fleet uses (default: first tenant's dataset)")
         p.add_argument("--seed", type=int, default=0)
 
-    def add_serve_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default="1.5B+1.5B")
-        p.add_argument("--device", default="rtx4090", choices=list_devices())
-        p.add_argument("--devices", default=None, metavar="NAME[,NAME...]",
-                       help="comma-separated device pool (overrides --device); "
-                            "duplicates are legal (lane ids index-suffixed)")
-        p.add_argument("--lane", default=None, metavar="SPEC[,SPEC...]",
-                       help="comma-separated heterogeneous lane specs "
-                            "MODEL@DEVICE[:DTYPE][:mem=FRACTION] "
-                            "(mutually exclusive with --devices)")
-        p.add_argument("--router", default="off", metavar="NAME",
-                       help="difficulty-aware model router across lane "
-                            "classes; one of off, "
-                            + ", ".join(list_routers()))
-        p.add_argument("--system", choices=("baseline", "fasttts"),
-                       default="fasttts")
+    def add_trace_serve_flags(p: argparse.ArgumentParser) -> None:
+        _add_serve_flags(p)
         p.add_argument("--scheduler", choices=list_schedulers(),
                        default="fifo")
-        p.add_argument("--placement", choices=list_placements(),
-                       default="first_fit")
-        p.add_argument("--oversubscription", choices=("swap", "deny"),
-                       default="swap")
-        p.add_argument("--kv-sharing", choices=("off", "prefix"),
-                       default="off", dest="kv_sharing")
-        p.add_argument("--batching", choices=("off", "continuous"),
-                       default="off")
         p.add_argument("--late-policy", choices=("serve_late", "drop"),
                        default="serve_late", dest="late_policy",
                        help="what happens when a queued request's deadline "
                             "expires before it starts: serve it anyway "
                             "(serve_late) or shed it (drop)")
-        p.add_argument("--max-in-flight", type=int, default=None,
-                       help="admission-control cap on queued+running requests")
-        p.add_argument("--faults", default="off", metavar="SPEC",
-                       help="fault-injection spec 'kind:key=value,...' "
-                            "(';'-separated clauses; 'off' disables)")
-        p.add_argument("--recovery", choices=("failover", "retry", "shed"),
-                       default="failover",
-                       help="lane-crash recovery policy for in-flight "
-                            "requests")
-        p.add_argument("--retry-budget", type=int, default=3,
-                       dest="retry_budget",
-                       help="max re-queues per request under --recovery "
-                            "retry before it is declared lost")
-        p.add_argument("--memory-fraction", type=float, default=0.4)
 
     trace_generate = trace_sub.add_parser(
         "generate", help="synthesize a multi-tenant trace and write JSONL"
@@ -741,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="generate a trace and serve it open-loop in one step"
     )
     add_workload_flags(trace_run)
-    add_serve_flags(trace_run)
+    add_trace_serve_flags(trace_run)
     trace_run.add_argument("--out", default=None, metavar="PATH",
                            help="also save the generated trace as JSONL")
 
@@ -750,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_replay.add_argument("--trace", required=True, metavar="PATH",
                               help="JSONL trace file to replay")
-    add_serve_flags(trace_replay)
+    add_trace_serve_flags(trace_replay)
 
     sub.add_parser("schedulers",
                    help="list request-scheduling and placement policies")

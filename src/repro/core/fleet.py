@@ -231,7 +231,19 @@ class FleetReport:
 
 @dataclass(slots=True, eq=False)
 class _RequestState:
-    """Fleet-side lifecycle of one admitted request (and its replicas).
+    """Fleet-side life of one request (and its replicas).
+
+    One object lives from the request's first admission to its terminal
+    record, across re-placement (cascade escalation, failover) and
+    re-queueing (retry backoff, waiting for a lane repair): placement
+    swaps in fresh ``handles`` and a new ``device``, while the life's
+    accounting — ``retries``, ``redone_work_s``, ``failed_over``, the
+    router's initial ``routed_class``, ``escalations`` and
+    ``escalated_work_s`` — accumulates here and reaches every terminal
+    record through :meth:`record`. ``redone_work_s`` and
+    ``escalated_work_s`` are disjoint: a crash voids its sessions into
+    the first before recovery re-places the request, an escalation bills
+    its (never-crashed) sessions into the second.
 
     ``device`` is the placement-chosen primary lane; racing replicas may
     sit on other lanes (each handle's own ``device``). ``claim_lanes``
@@ -246,12 +258,37 @@ class _RequestState:
 
     request: FleetRequest
     seq: int
-    handles: list[SessionHandle]
-    device: PooledDevice
+    handles: list[SessionHandle] = field(default_factory=list)
+    device: PooledDevice | None = None
     start_s: float | None = None
     claim_lanes: list[PooledDevice] = field(default_factory=list)
     claim_bytes: dict[int, int] = field(default_factory=dict)
     claim_segs: dict[int, tuple] = field(default_factory=dict)
+    retries: int = 0
+    redone_work_s: float = 0.0
+    failed_over: bool = False
+    routed_class: str | None = None
+    escalations: int = 0
+    escalated_work_s: float = 0.0
+
+    def record(self, **outcome) -> FleetRequestRecord:
+        """The terminal record: this life's facts plus the ``outcome`` fields."""
+        request = self.request
+        return FleetRequestRecord(
+            request_id=request.request_id,
+            arrival_s=request.arrival_s,
+            tenant=request.tenant,
+            slo_class=request.slo_class,
+            deadline_s=request.deadline_s,
+            ttft_slo_s=request.ttft_slo_s,
+            retries=self.retries,
+            redone_work_s=self.redone_work_s,
+            failed_over=self.failed_over,
+            routed_class=self.routed_class,
+            escalations=self.escalations,
+            escalated_work_s=self.escalated_work_s,
+            **outcome,
+        )
 
 
 class TTSFleet:
@@ -311,14 +348,6 @@ class TTSFleet:
             self._faults_label = (
                 ";".join(p.name for p in self._fault_processes)
                 if self._fault_processes else "off"
-            )
-        if kv_sharing not in ("off", "prefix"):
-            raise ConfigError(
-                f"kv_sharing must be 'off' or 'prefix', got {kv_sharing!r}"
-            )
-        if batching not in ("off", "continuous"):
-            raise ConfigError(
-                f"batching must be 'off' or 'continuous', got {batching!r}"
             )
         if pool is None:
             if config is None or dataset is None:
@@ -387,10 +416,9 @@ class TTSFleet:
         self._next_id = 0
         # Allocation feasibility is a pure function of (device, n) for a
         # fixed dataset, so admission memoizes the (often expensive) plan
-        # search; the planned on-device KV claim rides along for the
-        # ledger bookkeeping and deny-mode admission.
-        self._kv_verdicts: dict[tuple[int, int], str | None] = {}
-        self._kv_claims: dict[tuple[int, int], int] = {}
+        # search as (verdict, planned on-device KV claim); the claim rides
+        # along for the ledger bookkeeping and deny-mode admission.
+        self._kv_plans: dict[tuple[int, int], tuple[str | None, int]] = {}
         # Planned prompt-root segments per (lane, problem): what a session
         # for that problem would register at admission, used by dedup-aware
         # billing and the prefix_affinity placement counters.
@@ -485,19 +513,41 @@ class TTSFleet:
 
     # -- admission -------------------------------------------------------
 
-    def _kv_verdict(self, lane: PooledDevice, n: int) -> str | None:
-        """Can ``lane``'s allocator plan a beam budget of ``n``? Memoized."""
+    def _kv_plan(self, lane: PooledDevice, n: int) -> tuple[str | None, int]:
+        """Can ``lane``'s allocator plan a beam budget of ``n``? Memoized.
+
+        Returns ``(reject_reason, planned_kv_bytes)``: the reason is None
+        when the plan fits, and the claim is 0 when it does not.
+        """
         key = (lane.index, n)
-        if key not in self._kv_verdicts:
+        if key not in self._kv_plans:
             try:
                 plan = lane.server.plan_allocation(n)
             except CapacityError as error:
-                self._kv_verdicts[key] = f"KV budget: {error}"
-                self._kv_claims[key] = 0
+                self._kv_plans[key] = (f"KV budget: {error}", 0)
             else:
-                self._kv_verdicts[key] = None
-                self._kv_claims[key] = plan.kv_total_bytes
-        return self._kv_verdicts[key]
+                self._kv_plans[key] = (None, plan.kv_total_bytes)
+        return self._kv_plans[key]
+
+    def _feasible_lanes(self, n: int) -> list[PooledDevice]:
+        """Serving lanes whose allocator can plan a beam budget of ``n``."""
+        return [
+            lane for lane in self._pool
+            if lane.serving and self._kv_plan(lane, n)[0] is None
+        ]
+
+    def _route(
+        self, request: FleetRequest, eligible: list[PooledDevice], now: float
+    ) -> list[PooledDevice]:
+        """Narrow ``eligible`` to the router's preferred lane class.
+
+        Placement and scheduling pick the concrete lane within it. A
+        policy returning nothing (defensive guard) falls back to every
+        eligible lane; without a router nothing is narrowed.
+        """
+        if self._router is None:
+            return eligible
+        return self._router.route(request, eligible, now) or eligible
 
     def _planned_claims(self, lane: PooledDevice, problem: Problem) -> tuple:
         """The prompt-root KV segments a session would register on ``lane``."""
@@ -515,7 +565,7 @@ class TTSFleet:
         ledgers have nothing to deduplicate, so the full claim is billed
         and the ``--kv-sharing off`` path stays byte-identical.
         """
-        claim = self._kv_claims[(lane.index, request.algorithm.n)]
+        claim = self._kv_plan(lane, request.algorithm.n)[1]
         if not lane.ledger.segment_granular:
             return claim
         overlap = lane.prefix_overlap_bytes(
@@ -544,12 +594,12 @@ class TTSFleet:
                 return f"queue full (max_in_flight={self._max_in_flight})", []
         n = request.algorithm.n
         eligible = [
-            lane for lane in self._pool if self._kv_verdict(lane, n) is None
+            lane for lane in self._pool if self._kv_plan(lane, n)[0] is None
         ]
         if not eligible:
             # Every lane refused; surface the first lane's allocator error
             # (identical to the single-device fleet's reject reason).
-            return self._kv_verdict(self._pool[0], n), []
+            return self._kv_plan(self._pool[0], n)[0], []
         if self._oversubscription == "deny":
             fitting = [
                 lane for lane in eligible
@@ -603,11 +653,12 @@ class TTSFleet:
         requests = [self._queue[i] for i in order]
         self._queue = []
 
-        # Min-heap of (arrival, seq, request): initial entries pop in the
+        # Min-heap of (arrival, seq, life): initial entries pop in the
         # exact (arrival, submission) order the old deque served, and
         # retried/re-queued requests merge back in at their new times.
-        pending: list[tuple[float, int, FleetRequest]] = [
-            (request.arrival_s, seq, request)
+        # ``seq`` is unique, so two entries never compare their states.
+        pending: list[tuple[float, int, _RequestState]] = [
+            (request.arrival_s, seq, _RequestState(request, seq))
             for seq, request in enumerate(requests)
         ]
         heapq.heapify(pending)
@@ -633,22 +684,6 @@ class TTSFleet:
         )
         recoveries: list[tuple[float, int, str, PooledDevice]] = []
         recovery_seq = 0
-        # Availability accounting that must survive a request's state being
-        # rebuilt (failover) or re-queued (retry): keyed by request seq.
-        retries_ct: dict[int, int] = {}
-        redone: dict[int, float] = {}
-        failed_over_seqs: set[int] = set()
-        # Routing accounting, also keyed by seq: the router's *initial*
-        # lane-class decision (immutable through crashes/escalations),
-        # cascade escalation counts, and device seconds of abandoned
-        # cheaper attempts. Disjoint from ``redone`` by construction:
-        # a crash voids its sessions into ``redone`` before recovery
-        # tears the state down, an escalation bills its (never-crashed)
-        # sessions into ``escalated_work`` — no session's clock can
-        # reach both.
-        routed_cls: dict[int, str] = {}
-        escalations_ct: dict[int, int] = {}
-        escalated_work: dict[int, float] = {}
 
         # One run queue per lane: the runnable handles of live requests
         # placed there, in ``_arrival_key`` order (the ``pick`` contract).
@@ -671,8 +706,8 @@ class TTSFleet:
         def unqueue(st: _RequestState, retire: bool = False) -> None:
             """Drop ``st``'s non-runnable handles from their run queues.
 
-            ``retire`` drops every handle and forgets the state: its
-            request is terminal or is being re-placed under a new state.
+            ``retire`` drops every handle and takes the request off the
+            live set: it is terminal, re-queued, or about to be re-placed.
             """
             for h in st.handles:
                 queue = runq[h.device.index]
@@ -701,12 +736,8 @@ class TTSFleet:
                 st.claim_lanes.remove(lane)
 
         def place(
-            request: FleetRequest,
-            seq: int,
-            eligible: list[PooledDevice],
-            now: float,
-            carry_start: float | None = None,
-        ) -> _RequestState:
+            st: _RequestState, eligible: list[PooledDevice], now: float
+        ) -> None:
             """Create a request's sessions and bind them to pool lanes.
 
             The scheduler picks the primary lane (placement hook) and may
@@ -720,7 +751,13 @@ class TTSFleet:
             begins before the crash that caused it — even on an idle lane
             whose clock lags the fault time. First placements pass the
             arrival itself, so nothing changes without faults.
+
+            A re-placement (escalation, failover) reuses ``st``: its
+            handles and primary lane are replaced, and its claims were
+            already released, so only the life's accounting and
+            ``start_s`` carry over.
             """
+            request, seq = st.request, st.seq
             rearrival = max(request.arrival_s, now)
             device = self._scheduler.choose_device(
                 request, eligible, self._placement, now
@@ -750,10 +787,8 @@ class TTSFleet:
                         device=lane,
                     )
                 )
-            st = _RequestState(
-                request=request, seq=seq, handles=handles, device=device,
-                start_s=carry_start,
-            )
+            st.handles = handles
+            st.device = device
             # Affinity accounting happens before any claim registration so
             # a request's own planned segments never count as a "hit".
             device.placements += 1
@@ -776,21 +811,33 @@ class TTSFleet:
                     segs = self._planned_claims(lane, request.problem)
                     lane.note_planned_segments(segs)
                     st.claim_segs[lane.index] = segs
-                    lane.planned_admitted_bytes += self._kv_claims[
-                        (lane.index, request.algorithm.n)
-                    ]
+                    lane.planned_admitted_bytes += self._kv_plan(
+                        lane, request.algorithm.n
+                    )[1]
                     lane.unique_admitted_bytes += billed
-            routed_cls.setdefault(seq, device.lane_class)
+            if st.routed_class is None:
+                st.routed_class = device.lane_class
             states[seq] = st
             for handle in handles:
                 bisect.insort(runq[handle.device.index], handle, key=_arrival_key)
-            return st
 
         def next_lane_recovery() -> float | None:
             times = [t for t, _, kind, _ in recoveries if kind == "lane_recover"]
             return min(times) if times else None
 
-        def admit(seq: int, request: FleetRequest, now: float) -> None:
+        def requeue(st: _RequestState, time_s: float) -> None:
+            """Send a request back to admission at ``time_s``.
+
+            It starts afresh: its service start is stamped again when it
+            next runs.
+            """
+            st.start_s = None
+            heapq.heappush(
+                pending, (max(st.request.arrival_s, time_s), st.seq, st)
+            )
+
+        def admit(st: _RequestState, now: float) -> None:
+            request = st.request
             reason, eligible = self._admission(
                 request, finish_times, running_requests()
             )
@@ -803,51 +850,26 @@ class TTSFleet:
                     # to the outage, not to admission policy.
                     t_rec = next_lane_recovery()
                     if t_rec is not None:
-                        heapq.heappush(
-                            pending,
-                            (max(request.arrival_s, t_rec), seq, request),
-                        )
+                        requeue(st, t_rec)
                         return
                     reason = "no healthy device lane (pool lanes crashed)"
                     lost = True
-                else:
-                    eligible = healthy
-                    if self._router is not None:
-                        # The router narrows to its preferred lane class;
-                        # placement/scheduling pick the concrete lane
-                        # within it. A policy returning nothing (defensive
-                        # guard) falls back to every healthy lane.
-                        eligible = (
-                            self._router.route(request, eligible, now)
-                            or eligible
-                        )
             if reason is not None:
-                records[seq] = FleetRequestRecord(
-                    request_id=request.request_id,
-                    arrival_s=request.arrival_s,
+                records[st.seq] = st.record(
                     start_s=request.arrival_s,
                     finish_s=request.arrival_s,
                     accepted=False,
                     reject_reason=reason,
                     lost=lost,
-                    retries=retries_ct.get(seq, 0),
-                    redone_work_s=redone.get(seq, 0.0),
-                    routed_class=routed_cls.get(seq),
-                    escalations=escalations_ct.get(seq, 0),
-                    escalated_work_s=escalated_work.get(seq, 0.0),
-                    tenant=request.tenant,
-                    slo_class=request.slo_class,
-                    deadline_s=request.deadline_s,
-                    ttft_slo_s=request.ttft_slo_s,
                 )
             else:
-                place(request, seq, eligible, now=now)
+                place(st, self._route(request, healthy, now), now)
             # Either way somebody new showed up: running sessions must stop
             # speculating (round-granular analogue of the arrival offsets).
-            for st in states.values():
-                if st.seq == seq:
+            for other in states.values():
+                if other is st:
                     continue
-                for h in st.handles:
+                for h in other.handles:
                     if h.start_s is not None and h.runnable:
                         h.session.notify_arrival()
 
@@ -937,21 +959,17 @@ class TTSFleet:
             settling lane's clock, so the restart never predates the
             rejected attempt's finish.
             """
-            seq = st.seq
             abandoned = 0.0
             for h in st.handles:
                 if h.session.state.live:
                     h.session.cancel()
                 abandoned += h.session.clock.now
                 (h.device or lane).ledger.release(h.session.session_id)
-            escalated_work[seq] = escalated_work.get(seq, 0.0) + abandoned
-            escalations_ct[seq] = escalations_ct.get(seq, 0) + 1
+            st.escalated_work_s += abandoned
+            st.escalations += 1
             release_claims(st)
             unqueue(st, retire=True)
-            place(
-                st.request, seq, targets,
-                now=lane.clock.now, carry_start=st.start_s,
-            )
+            place(st, targets, lane.clock.now)
 
         def settle(handle: SessionHandle, lane: PooledDevice) -> None:
             st = states[handle.seq]
@@ -981,15 +999,10 @@ class TTSFleet:
                 # lanes this request could still plan on. With nowhere
                 # to escalate (already on the biggest class, or no
                 # feasible bigger lane), the attempt commits as-is.
-                n = st.request.algorithm.n
-                candidates = [
-                    target for target in lanes
-                    if target.serving and self._kv_verdict(target, n) is None
-                ]
                 targets = self._router.escalate_lanes(
                     st.request,
                     (winner.device or lane).model_cost_bytes,
-                    candidates,
+                    self._feasible_lanes(st.request.algorithm.n),
                 )
                 if targets:
                     escalate(st, lane, targets)
@@ -1005,9 +1018,7 @@ class TTSFleet:
                 (h.device or lane).ledger.release(h.session.session_id)
             result = winner.session.outcome.result
             committed = result.tokens.committed
-            records[st.seq] = FleetRequestRecord(
-                request_id=st.request.request_id,
-                arrival_s=st.request.arrival_s,
+            records[st.seq] = st.record(
                 start_s=st.start_s,
                 finish_s=lane.clock.now,
                 latency=result.latency,
@@ -1020,8 +1031,7 @@ class TTSFleet:
                 # cheaper attempts a cascade escalated past.
                 device_time_s=(
                     winner.session.clock.now + cancelled_work
-                    + redone.get(st.seq, 0.0)
-                    + escalated_work.get(st.seq, 0.0)
+                    + st.redone_work_s + st.escalated_work_s
                 ),
                 device_id=lane.device_id,
                 kv_swap_s=sum(h.kv_swap_s for h in siblings),
@@ -1035,17 +1045,7 @@ class TTSFleet:
                     if committed > 0
                     else None
                 ),
-                retries=retries_ct.get(st.seq, 0),
-                redone_work_s=redone.get(st.seq, 0.0),
-                failed_over=st.seq in failed_over_seqs,
-                routed_class=routed_cls.get(st.seq),
                 lane_class=lane.lane_class,
-                escalations=escalations_ct.get(st.seq, 0),
-                escalated_work_s=escalated_work.get(st.seq, 0.0),
-                tenant=st.request.tenant,
-                slo_class=st.request.slo_class,
-                deadline_s=st.request.deadline_s,
-                ttft_slo_s=st.request.ttft_slo_s,
             )
             results[st.request.request_id] = result
             finish_times.append(lane.clock.now)
@@ -1060,9 +1060,10 @@ class TTSFleet:
             deadline), not at the lane-clock instant the sweep noticed it
             — the record is a pure function of the request, independent
             of how far the lane's clock had jumped past the deadline.
-            None of the request's sessions ever ran, so there is no
-            cancelled work to account; their ledger claims (if any) are
-            released like a settled race's losers.
+            None of the current placement's sessions ever ran, so there
+            is no cancelled work to account; their ledger claims (if any)
+            are released like a settled race's losers. Earlier attempts a
+            crash voided keep their retries and redone work on the record.
             """
             request = st.request
             lane = st.device
@@ -1070,9 +1071,7 @@ class TTSFleet:
                 if h.session.state.live:
                     h.session.cancel()
                 (h.device or lane).ledger.release(h.session.session_id)
-            records[st.seq] = FleetRequestRecord(
-                request_id=request.request_id,
-                arrival_s=request.arrival_s,
+            records[st.seq] = st.record(
                 start_s=request.arrival_s,
                 finish_s=request.arrival_s + request.deadline_s,
                 accepted=False,
@@ -1081,11 +1080,6 @@ class TTSFleet:
                     f"deadline expired after {request.deadline_s:g}s in queue "
                     f"(late_policy=drop)"
                 ),
-                routed_class=routed_cls.get(st.seq),
-                tenant=request.tenant,
-                slo_class=request.slo_class,
-                deadline_s=request.deadline_s,
-                ttft_slo_s=request.ttft_slo_s,
             )
             release_claims(st)
             unqueue(st, retire=True)
@@ -1117,32 +1111,16 @@ class TTSFleet:
             recovery_seq += 1
 
         def lose_request(
-            seq: int,
-            request: FleetRequest,
-            now: float,
-            reason: str,
-            device_id: str | None = None,
+            st: _RequestState, lane: PooledDevice, now: float, reason: str
         ) -> None:
             """Terminal fault outcome: the request leaves the system unserved."""
-            records[seq] = FleetRequestRecord(
-                request_id=request.request_id,
-                arrival_s=request.arrival_s,
-                start_s=request.arrival_s,
-                finish_s=max(now, request.arrival_s),
+            records[st.seq] = st.record(
+                start_s=st.request.arrival_s,
+                finish_s=max(now, st.request.arrival_s),
                 accepted=False,
                 lost=True,
                 reject_reason=reason,
-                retries=retries_ct.get(seq, 0),
-                redone_work_s=redone.get(seq, 0.0),
-                failed_over=seq in failed_over_seqs,
-                routed_class=routed_cls.get(seq),
-                escalations=escalations_ct.get(seq, 0),
-                escalated_work_s=escalated_work.get(seq, 0.0),
-                device_id=device_id,
-                tenant=request.tenant,
-                slo_class=request.slo_class,
-                deadline_s=request.deadline_s,
-                ttft_slo_s=request.ttft_slo_s,
+                device_id=lane.device_id,
             )
 
         def recover_request(
@@ -1151,71 +1129,51 @@ class TTSFleet:
             """Apply the recovery policy to a request the crash left session-less.
 
             All of the request's device seconds so far are charged as
-            redone work — the crash voided them — and the state is torn
-            down before the policy decides the request's next life:
-            ``shed`` fails fast, ``retry`` re-queues after backoff (until
-            the per-request budget runs out), ``failover`` re-places on a
-            healthy lane immediately (checkpoint-free restart).
+            redone work — the crash voided them — and its sessions and
+            claims are torn down before the policy decides the request's
+            next attempt: ``shed`` fails fast, ``retry`` re-queues after
+            backoff (until the per-request budget runs out), ``failover``
+            re-places on a healthy lane immediately (checkpoint-free
+            restart).
             """
-            seq, request = st.seq, st.request
-            redone[seq] = redone.get(seq, 0.0) + sum(
-                h.session.clock.now for h in st.handles
-            )
+            st.redone_work_s += sum(h.session.clock.now for h in st.handles)
             release_claims(st)
             unqueue(st, retire=True)
             if self._recovery == "shed":
                 lose_request(
-                    seq, request, now,
+                    st, lane, now,
                     f"lane {lane.device_id} crashed (recovery=shed)",
-                    device_id=lane.device_id,
                 )
                 return
             if self._recovery == "retry":
-                attempt = retries_ct.get(seq, 0) + 1
                 try:
-                    delay = self._retry_policy.backoff(attempt)
+                    delay = self._retry_policy.backoff(st.retries + 1)
                 except RetryExhaustedError as error:
                     lose_request(
-                        seq, request, now,
-                        f"lane {lane.device_id} crashed; {error}",
-                        device_id=lane.device_id,
+                        st, lane, now, f"lane {lane.device_id} crashed; {error}"
                     )
                     return
-                retries_ct[seq] = attempt
-                heapq.heappush(
-                    pending, (max(now + delay, request.arrival_s), seq, request)
-                )
+                st.retries += 1
+                requeue(st, now + delay)
                 return
-            # failover: restart on any healthy KV-feasible lane right now,
-            # or wait for a scheduled repair, or concede the request.
-            n = request.algorithm.n
-            healthy = [
-                target for target in lanes
-                if target.serving and self._kv_verdict(target, n) is None
-            ]
+            # failover: restart on any healthy KV-feasible lane right now
+            # (honouring the router: the restart lands on its preferred
+            # class among the survivors, falling through the class order
+            # when the original class died with the lane), or wait for a
+            # scheduled repair, or concede the request.
+            healthy = self._feasible_lanes(st.request.algorithm.n)
             if healthy:
-                if self._router is not None:
-                    # Failover honours the router: the restart lands on
-                    # the policy's preferred class among the survivors
-                    # (falling through the class order when the original
-                    # class died with the lane).
-                    healthy = (
-                        self._router.route(request, healthy, now) or healthy
-                    )
-                failed_over_seqs.add(seq)
-                place(request, seq, healthy, now=now, carry_start=st.start_s)
+                st.failed_over = True
+                place(st, self._route(st.request, healthy, now), now)
                 return
             t_rec = next_lane_recovery()
             if t_rec is not None:
-                failed_over_seqs.add(seq)
-                heapq.heappush(
-                    pending, (max(t_rec, request.arrival_s), seq, request)
-                )
+                st.failed_over = True
+                requeue(st, t_rec)
                 return
             lose_request(
-                seq, request, now,
+                st, lane, now,
                 f"lane {lane.device_id} crashed and no healthy lane remains",
-                device_id=lane.device_id,
             )
 
         def on_lane_crash(
@@ -1368,8 +1326,8 @@ class TTSFleet:
                 # Every lane with work has reached the arrival time (or the
                 # pool is idle — early admission: service still begins no
                 # sooner than the arrival itself).
-                t_queue, seq, request = heapq.heappop(pending)
-                admit(seq, request, t_queue)
+                t_queue, _, st = heapq.heappop(pending)
+                admit(st, t_queue)
                 continue
             if act is None:
                 break
@@ -1424,14 +1382,13 @@ class TTSFleet:
             if session.state is SessionState.DONE:
                 settle(handle, act)
 
+        ordered = tuple(records[seq] for seq in sorted(records))
         return FleetReport(
-            records=tuple(records[seq] for seq in sorted(records)),
+            records=ordered,
             results=results,
             scheduler=self._scheduler.name,
             placement=self._placement.name,
-            devices=DeviceUtilization.rollup(
-                tuple(records[seq] for seq in sorted(records)), lanes
-            ),
+            devices=DeviceUtilization.rollup(ordered, lanes),
             kv_sharing=(
                 "prefix"
                 if any(lane.ledger.segment_granular for lane in lanes)
@@ -1449,25 +1406,7 @@ class TTSFleet:
         )
 
 
-def run_trace(
-    trace,
-    config: ServerConfig,
-    *,
-    scheduler: RequestScheduler | str = "fifo",
-    placement: PlacementPolicy | str = "first_fit",
-    devices: list[str] | None = None,
-    oversubscription: str = "swap",
-    kv_sharing: str = "off",
-    batching: str = "off",
-    late_policy: str = "serve_late",
-    max_in_flight: int | None = None,
-    faults: str = "off",
-    recovery: str = "failover",
-    retry_budget: int = 3,
-    retry_backoff_s: float = 1.0,
-    lanes: Sequence[LaneSpec] | None = None,
-    router: RoutingPolicy | str | None = "off",
-) -> FleetReport:
+def run_trace(trace, config: ServerConfig, **options) -> FleetReport:
     """Drive an open-loop :class:`~repro.workloads.trace.Trace` end to end.
 
     Requests are submitted at their trace timestamps regardless of
@@ -1477,7 +1416,9 @@ def run_trace(
     model, termination) come from the trace's ``base_dataset`` profile;
     each request's *problem* is rebuilt from its own ``(dataset, seed,
     index)`` coordinates, so a serialized trace replays byte-identically
-    to the in-memory one that produced it.
+    to the in-memory one that produced it. ``options`` are
+    :class:`TTSFleet`'s keyword arguments (scheduler, placement, devices,
+    lanes, router, late_policy, faults, ...), forwarded unchanged.
     """
     from repro.search.registry import build_algorithm
     from repro.workloads.datasets import build_dataset
@@ -1485,24 +1426,7 @@ def run_trace(
 
     problems = materialize_problems(trace)
     server_dataset = build_dataset(trace.base_dataset, seed=trace.seed)
-    fleet = TTSFleet(
-        config,
-        server_dataset,
-        max_in_flight=max_in_flight,
-        scheduler=scheduler,
-        placement=placement,
-        devices=devices,
-        oversubscription=oversubscription,
-        kv_sharing=kv_sharing,
-        batching=batching,
-        late_policy=late_policy,
-        faults=faults,
-        recovery=recovery,
-        retry_budget=retry_budget,
-        retry_backoff_s=retry_backoff_s,
-        lanes=lanes,
-        router=router,
-    )
+    fleet = TTSFleet(config, server_dataset, **options)
     for request in trace:
         fleet.submit(
             problems[request.request_id],

@@ -392,6 +392,51 @@ class TestMTTRAndSingleLane:
         assert m.completed + m.requests_lost == m.requests
 
 
+class TestDroppedRecordKeepsCrashAccounting:
+    """A crash-voided request later shed at its deadline keeps its bill.
+
+    One lane crashes at t=5 with a 400 s repair, so a request retried (or
+    failed over) after the crash waits out the outage and is dropped under
+    ``late_policy="drop"``. Its record must report the same retries,
+    redone work and failover as the ``serve_late`` run that serves it.
+    """
+
+    @staticmethod
+    def run(recovery, late_policy, arrivals):
+        dataset = build_dataset("amc23", seed=0, size=len(arrivals))
+        fleet = TTSFleet(
+            baseline_config(memory_fraction=0.4, seed=0), dataset,
+            faults="crash:at=5,lane=0,mttr=400", recovery=recovery,
+            late_policy=late_policy,
+        )
+        for problem, arrival in zip(list(dataset), arrivals):
+            fleet.submit(
+                problem, build_algorithm("beam_search", 4),
+                arrival_s=arrival, deadline_s=30.0,
+            )
+        return fleet.drain()
+
+    @pytest.mark.parametrize(
+        "recovery, arrivals",
+        [("retry", (0.0,)), ("failover", (0.0, 1.0))],
+        ids=["retry", "failover"],
+    )
+    def test_drop_keeps_retries_redone_work_and_failover(
+        self, recovery, arrivals
+    ):
+        served = self.run(recovery, "serve_late", arrivals)
+        dropped = self.run(recovery, "drop", arrivals)
+        assert all(r.accepted for r in served.records)
+        assert all(r.dropped for r in dropped.records)
+        assert sum(r.redone_work_s for r in served.records) > 0.0
+        for late, drop in zip(served.records, dropped.records):
+            assert (drop.retries, drop.redone_work_s, drop.failed_over) == (
+                late.retries, late.redone_work_s, late.failed_over
+            )
+        assert dropped.metrics.retries_total == served.metrics.retries_total
+        assert dropped.metrics.redone_work_s == served.metrics.redone_work_s
+
+
 class TestFirstFinishCrashSurvival:
     """A crash killing one replica must not fail the raced request."""
 

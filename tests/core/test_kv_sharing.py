@@ -4,16 +4,13 @@ Acceptance contract (ISSUE 5): with ``kv_sharing="prefix"`` on a single
 lane running co-resident sessions of the same problem, total swap time
 and peak resident bytes are strictly lower than the dedup-off baseline
 at identical answers; ``kv_sharing="off"`` stays byte-identical to
-``tests/goldens/fleet_fifo_goldens.json``.
+``tests/goldens/fleet_fifo_goldens.json`` (asserted by test_scheduler.py).
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
 from repro.core.config import baseline_config, fasttts_config
-from repro.core.fleet import TTSFleet, generate_arrivals
+from repro.core.fleet import TTSFleet
 from repro.core.pool import DevicePool, PooledDevice
 from repro.core.scheduler import FirstFinishScheduler, PrefixAffinityScheduler
 from repro.core.server import TTSServer
@@ -115,40 +112,6 @@ class TestFirstFinishReplicas:
         assert on.metrics.kv_swap_s < off.metrics.kv_swap_s
         assert answer_signature(on) == answer_signature(off)
         assert on.metrics.kv_shared_bytes > 0  # the shared prompt
-
-
-class TestOffIsByteIdenticalToGoldens:
-    def test_fifo_open_busy_reproduced_with_explicit_off(self):
-        golden = json.loads(
-            (Path(__file__).parent.parent / "goldens"
-             / "fleet_fifo_goldens.json").read_text()
-        )["open-busy"]
-        dataset = build_dataset("amc23", seed=0, size=5)
-        fleet = TTSFleet(
-            baseline_config(memory_fraction=0.4, seed=0), dataset,
-            scheduler="fifo", kv_sharing="off",
-        )
-        arrivals = generate_arrivals(5, 0.05, seed=0)
-        fleet.submit_stream(
-            list(dataset), build_algorithm("beam_search", 4), arrivals
-        )
-        report = fleet.drain()
-        produced = [
-            {
-                "request_id": r.request_id,
-                "arrival_s": r.arrival_s,
-                "start_s": r.start_s,
-                "finish_s": r.finish_s,
-                "accepted": r.accepted,
-                "reject_reason": r.reject_reason,
-                "latency": r.latency.to_json_dict() if r.latency else None,
-            }
-            for r in report.records
-        ]
-        assert produced == golden["records"]
-        assert {
-            rid: res.to_json_dict() for rid, res in sorted(report.results.items())
-        } == golden["results"]
 
 
 class TestKvSegments:

@@ -1,10 +1,11 @@
 """Tests for the pluggable request schedulers driving TTSFleet.
 
 ``fifo`` must reproduce the pre-refactor run-to-completion fleet byte for
-byte (``tests/goldens/fleet_fifo_goldens.json``); the non-FIFO policies
-must honour their contracts: SJF/round-robin improve queueing behaviour
-under contention, and First-Finish racing never returns a worse answer
-than FIFO on the same seed.
+byte (``tests/goldens/fleet_fifo_goldens.json``), with every fleet policy
+axis left at its default or with its "off" value spelled out; the non-FIFO
+policies must honour their contracts: SJF/round-robin improve queueing
+behaviour under contention, and First-Finish racing never returns a worse
+answer than FIFO on the same seed.
 """
 
 import json
@@ -14,6 +15,7 @@ import pytest
 
 from repro.core.config import baseline_config, fasttts_config
 from repro.core.fleet import TTSFleet, generate_arrivals
+from repro.core.pool import DevicePool
 from repro.core.scheduler import (
     FirstFinishScheduler,
     build_scheduler,
@@ -88,9 +90,25 @@ class TestRegistry:
             FirstFinishScheduler(verify_threshold=1.5)
 
 
+#: Every explicit spelling of a fleet policy axis's "off" value (and an
+#: explicitly built single-lane pool) must serve exactly the default
+#: fleet: byte-identical records and results to the goldens.
+EXPLICIT_OFF = {
+    "default": {},
+    "kv_sharing-off": {"kv_sharing": "off"},
+    "batching-off": {"batching": "off"},
+    "late_policy-serve_late": {"late_policy": "serve_late"},
+    "faults-off": {"faults": "off"},
+    "router-off": {"router": "off"},
+    "placement-first_fit": {"placement": "first_fit"},
+    "explicit-pool": None,
+}
+
+
 class TestFifoGoldens:
     """scheduler="fifo" reproduces the pre-refactor TTSFleet exactly."""
 
+    @pytest.mark.parametrize("spelling", sorted(EXPLICIT_OFF))
     @pytest.mark.parametrize(
         "label, rate, max_in_flight",
         [
@@ -99,8 +117,27 @@ class TestFifoGoldens:
             ("capped-saturated", 1.0, 2),
         ],
     )
-    def test_records_and_results_match_golden(self, label, rate, max_in_flight):
-        report = drain("fifo", rate, max_in_flight=max_in_flight)
+    def test_records_and_results_match_golden(
+        self, label, rate, max_in_flight, spelling
+    ):
+        dataset = build_dataset("amc23", seed=0, size=5)
+        config = baseline_config(memory_fraction=0.4, seed=0)
+        options = EXPLICIT_OFF[spelling]
+        if options is None:
+            fleet = TTSFleet(
+                pool=DevicePool.build(config, dataset),
+                max_in_flight=max_in_flight, scheduler="fifo",
+            )
+        else:
+            fleet = TTSFleet(
+                config, dataset, max_in_flight=max_in_flight,
+                scheduler="fifo", **options,
+            )
+        arrivals = generate_arrivals(5, rate, seed=0)
+        fleet.submit_stream(
+            list(dataset), build_algorithm("beam_search", 4), arrivals
+        )
+        report = fleet.drain()
         golden = GOLDENS[label]
         assert [record_dict(r) for r in report.records] == golden["records"]
         produced = {
